@@ -199,6 +199,8 @@ type autopilotConfig struct {
 // WithProvider actuates through p instead of the default in-process
 // fleet — e.g. NewExecFleet to run the plan as real kairosd processes.
 // The autopilot takes ownership: Close stops the provider's instances.
+// The autopilot calls p's Launch and Stop concurrently, so p must lock
+// whatever state they share.
 func WithProvider(p Provider) AutopilotOption {
 	return func(c *autopilotConfig) error {
 		if p == nil {

@@ -252,11 +252,12 @@ func obsBench(c obs.BenchCase) func(*testing.B) {
 
 // controllerThroughputBench drives closed-loop submitters through the
 // shared serving-path fixture (server.StartBenchCluster: 2 models x 2
-// loopback instance servers each, LeastBacklog policy): ns/op is the
-// sustained Submit→complete cost of the whole live path.
-func controllerThroughputBench() func(*testing.B) {
+// loopback instance servers each) under the policy mkPolicy builds (nil:
+// LeastBacklog): ns/op is the sustained Submit→complete cost of the
+// whole live path.
+func controllerThroughputBench(mkPolicy func(kairos.Model, []string) kairos.Distributor) func(*testing.B) {
 	return func(b *testing.B) {
-		cluster, err := server.StartBenchCluster(1e-6, nil)
+		cluster, err := server.StartBenchCluster(1e-6, mkPolicy)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -346,7 +347,11 @@ func main() {
 	benches = append(benches, struct {
 		name string
 		fn   func(*testing.B)
-	}{"ControllerThroughput", controllerThroughputBench()})
+	}{"ControllerThroughput", controllerThroughputBench(nil)})
+	benches = append(benches, struct {
+		name string
+		fn   func(*testing.B)
+	}{"ControllerThroughputKairosPolicy", controllerThroughputBench(server.BenchKairosPolicy)})
 	benches = append(benches, struct {
 		name string
 		fn   func(*testing.B)

@@ -1186,49 +1186,69 @@ func (a *Autopilot) updateRates(now time.Time) (float64, bool) {
 // in-flight queries always finish. Launches and stops go through the
 // actuation provider, so the same loop manages in-process servers and
 // real kairosd processes.
+//
+// Every launch runs at once (launchAll), and the controller registers
+// the new instances in plan order, so instance order does not depend on
+// which launch finished first. A failed launch does not stop the others:
+// the successes are registered and the error returned, and the next
+// pass launches only what is still missing. The drains then run at once
+// too, each stopping its instance when its backlog is delivered.
 func (a *Autopilot) actuate(to core.FleetPlan) error {
-	for _, name := range a.names {
-		cfg := to[name]
-		have := a.ctrl.ModelInstanceCounts(name)
-		for i, t := range a.opts.Pool {
-			want := 0
-			if cfg != nil {
-				want = cfg[i]
-			}
-			for k := have[t.Name]; k < want; k++ {
-				addr, err := a.provider.Launch(name, t.Name)
-				if err != nil {
-					return err
+	// diff lists, per model in order and then in pool order, one spec
+	// per instance the fleet has too few (add) or too many (!add) of.
+	diff := func(add bool) []instanceSpec {
+		var out []instanceSpec
+		for _, name := range a.names {
+			cfg := to[name]
+			have := a.ctrl.ModelInstanceCounts(name)
+			for i, t := range a.opts.Pool {
+				want := 0
+				if cfg != nil {
+					want = cfg[i]
 				}
-				if _, err := a.ctrl.AddInstance(addr); err != nil {
-					a.provider.Stop(addr)
-					return err
+				n := want - have[t.Name]
+				if !add {
+					n = -n
 				}
-				a.logf("autopilot: added %s for %s at %s", t.Name, name, addr)
-			}
-		}
-	}
-	for _, name := range a.names {
-		cfg := to[name]
-		have := a.ctrl.ModelInstanceCounts(name)
-		for i, t := range a.opts.Pool {
-			want := 0
-			if cfg != nil {
-				want = cfg[i]
-			}
-			for k := want; k < have[t.Name]; k++ {
-				addr, err := a.ctrl.RemoveInstance(name, t.Name)
-				if err != nil {
-					return err
+				for k := 0; k < n; k++ {
+					out = append(out, instanceSpec{name, t.Name})
 				}
-				if err := a.provider.Stop(addr); err != nil {
-					return err
-				}
-				a.logf("autopilot: drained and removed %s for %s at %s", t.Name, name, addr)
 			}
 		}
+		return out
 	}
-	return nil
+	adds := diff(true)
+	addrs, errs := launchAll(a.provider, adds)
+	for i, err := range errs {
+		if err != nil {
+			continue
+		}
+		if _, errs[i] = a.ctrl.AddInstance(addrs[i]); errs[i] != nil {
+			a.provider.Stop(addrs[i])
+			continue
+		}
+		a.logf("autopilot: added %s for %s at %s", adds[i].typeName, adds[i].model, addrs[i])
+	}
+	if err := firstErr(errs); err != nil {
+		return err
+	}
+
+	drains := diff(false)
+	removed := make([]string, len(drains))
+	errs = fanOut(len(drains), func(i int) error {
+		addr, err := a.ctrl.RemoveInstance(drains[i].model, drains[i].typeName)
+		if err != nil {
+			return err
+		}
+		removed[i] = addr
+		return a.provider.Stop(addr)
+	})
+	for i, err := range errs {
+		if err == nil {
+			a.logf("autopilot: drained and removed %s for %s at %s", drains[i].typeName, drains[i].model, removed[i])
+		}
+	}
+	return firstErr(errs)
 }
 
 // Close stops the control loop and the admin endpoint, shuts the ingress

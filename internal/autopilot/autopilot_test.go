@@ -137,9 +137,14 @@ func TestOptionsValidation(t *testing.T) {
 // autopilot around them with the given plan function and options tweaks.
 func startAutopilot(t *testing.T, initial cloud.Config, opts Options) *Autopilot {
 	t.Helper()
+	return startAutopilotOn(t, NewFleet(1, ncf()), initial, opts)
+}
+
+// startAutopilotOn is startAutopilot actuating through fleet.
+func startAutopilotOn(t *testing.T, fleet Provider, initial cloud.Config, opts Options) *Autopilot {
+	t.Helper()
 	m := ncf()
 	pool := cloud.DefaultPool()
-	fleet := NewFleet(1, m)
 	addrs, err := Deploy(fleet, pool, plan(m, initial))
 	if err != nil {
 		fleet.Close()
@@ -212,6 +217,14 @@ func TestStepDriftReplanActuates(t *testing.T) {
 		if res := ap.Controller().SubmitWait(m.Name, 500+i); res.Err != nil {
 			t.Fatal(res.Err)
 		}
+	}
+	// The controller wakes the waiter before it calls the completion
+	// observer, so the last observation can land after SubmitWait returns.
+	for deadline := time.Now().Add(5 * time.Second); ap.Status().Models[m.Name].Window.Observations < 40; {
+		if time.Now().After(deadline) {
+			t.Fatal("the window never observed all 40 completions")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	dec, err = ap.Step()
 	if err != nil {

@@ -2,6 +2,7 @@ package autopilot
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"kairos/internal/cloud"
@@ -20,7 +21,10 @@ import (
 // is accepting controller connections and announcing the right model and
 // type in its Hello banner, and Stop is called only after the controller
 // has drained and disconnected the instance, so a provider never has to
-// worry about in-flight queries.
+// worry about in-flight queries. An actuation launches all of its new
+// instances at once and stops all of its drained ones at once, so Launch
+// and Stop may be called concurrently, with each other and with
+// themselves: a provider must lock whatever state they share.
 type Provider interface {
 	// Launch starts one instance of typeName hosting model and returns
 	// its dialable address once it is ready.
@@ -84,30 +88,76 @@ type Preempter interface {
 }
 
 // Deploy launches plan[model][i] instances of pool[i] for every model on
-// the provider and returns all started addresses. On any launch failure
-// it stops what it started.
+// the provider and returns all started addresses in plan order: models
+// by name, then pool order. The launches run concurrently. On any launch
+// failure it stops what it started and returns the first error in plan
+// order.
 func Deploy(p Provider, pool cloud.Pool, plan core.FleetPlan) ([]string, error) {
-	var addrs []string
-	fail := func(err error) ([]string, error) {
-		for _, a := range addrs {
-			p.Stop(a)
-		}
-		return nil, err
-	}
+	var want []instanceSpec
 	for _, model := range plan.Models() {
 		cfg := plan[model]
 		if len(cfg) != len(pool) {
-			return fail(fmt.Errorf("autopilot: config %v for %s does not match pool of %d types", cfg, model, len(pool)))
+			return nil, fmt.Errorf("autopilot: config %v for %s does not match pool of %d types", cfg, model, len(pool))
 		}
 		for i, n := range cfg {
 			for k := 0; k < n; k++ {
-				addr, err := p.Launch(model, pool[i].Name)
-				if err != nil {
-					return fail(err)
-				}
-				addrs = append(addrs, addr)
+				want = append(want, instanceSpec{model, pool[i].Name})
 			}
 		}
 	}
+	addrs, errs := launchAll(p, want)
+	if err := firstErr(errs); err != nil {
+		for i, a := range addrs {
+			if errs[i] == nil {
+				p.Stop(a)
+			}
+		}
+		return nil, err
+	}
 	return addrs, nil
+}
+
+// instanceSpec is one instance an actuation wants: a type serving a
+// model.
+type instanceSpec struct{ model, typeName string }
+
+// launchAll is the one launch path of every actuation — the initial
+// rollout, replans and heals. It calls Provider.Launch for every spec at
+// once and returns the addresses and errors in spec order, so callers
+// register instances in plan order however the launches finish.
+// Start-ups are independent, so a fleet comes up in about the time of
+// its slowest launch rather than the sum of all of them.
+func launchAll(p Provider, specs []instanceSpec) ([]string, []error) {
+	addrs := make([]string, len(specs))
+	errs := fanOut(len(specs), func(i int) (err error) {
+		addrs[i], err = p.Launch(specs[i].model, specs[i].typeName)
+		return err
+	})
+	return addrs, errs
+}
+
+// fanOut runs fn(0), ..., fn(n-1) concurrently, one goroutine each, and
+// returns their errors by index once all have returned.
+func fanOut(n int, fn func(i int) error) []error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// firstErr returns the first non-nil error in errs.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

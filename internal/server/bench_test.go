@@ -3,9 +3,6 @@ package server
 import (
 	"sync/atomic"
 	"testing"
-
-	"kairos/internal/models"
-	"kairos/internal/sim"
 )
 
 // BenchmarkFrames measures each wire codec in both hot directions —
@@ -62,9 +59,7 @@ func BenchmarkControllerThroughput(b *testing.B) {
 // BenchmarkControllerThroughputKairosPolicy is the same loop under the
 // real matching policy: serving path plus per-round Assign cost.
 func BenchmarkControllerThroughputKairosPolicy(b *testing.B) {
-	cluster, err := StartBenchCluster(benchScale, func(m models.Model, types []string) sim.Distributor {
-		return kairosPolicy(m, types)
-	})
+	cluster, err := StartBenchCluster(benchScale, BenchKairosPolicy)
 	if err != nil {
 		b.Fatal(err)
 	}

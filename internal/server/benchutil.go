@@ -5,7 +5,9 @@ import (
 	"fmt"
 
 	"kairos/internal/cloud"
+	"kairos/internal/core"
 	"kairos/internal/models"
+	"kairos/internal/predictor"
 	"kairos/internal/sim"
 )
 
@@ -60,6 +62,17 @@ func (p *LeastBacklog) Assign(_ float64, waiting []sim.QueryView, instances []si
 		p.out = append(p.out, sim.Assignment{Query: q.Index, Instance: instances[best].Index})
 	}
 	return p.out
+}
+
+// BenchKairosPolicy builds the paper's matching policy for one of the
+// fixture's models, warmed over its instance types: the serving path
+// Kairos runs, where LeastBacklog isolates the controller machinery.
+func BenchKairosPolicy(m models.Model, types []string) sim.Distributor {
+	return core.NewDistributor(core.DistributorOptions{
+		QoS:       m.QoS,
+		BaseType:  cloud.G4dnXlarge.Name,
+		Predictor: predictor.Warmed(m.Latency, types, []int{1, 500, 1000}),
+	})
 }
 
 // BenchCluster is the canonical serving-path benchmark fixture: two
