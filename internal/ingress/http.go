@@ -179,7 +179,8 @@ func (s *Server) serveHTTPRequest(conn net.Conn, sh *shard, hc *httpCtx) bool {
 		return false
 	}
 	if contentLen > maxSubmitBody {
-		// Satellite of MaxFrame: don't buffer an oversized body at all.
+		// Satellite of MaxFrame: don't buffer an oversized body, only
+		// discard it after the 413.
 		s.writeHTTPError(conn, hc, http.StatusRequestEntityTooLarge, "ingress: body too large")
 		return false
 	}
@@ -327,11 +328,30 @@ func (s *Server) writeHTTPResponse(conn net.Conn, hc *httpCtx, status int, body 
 	return err == nil
 }
 
-// writeHTTPError answers a protocol-level failure (always closes).
+// writeHTTPError answers a protocol-level failure; the caller then
+// closes the connection. The client may still be sending a body the
+// loop will never read, and closing a socket with unread input makes the
+// kernel answer with a reset that can destroy the response before the
+// client reads it. So, as net/http does, the write side is half-closed
+// (the client sees the response, then EOF) and whatever still arrives
+// is discarded — at most lingerBytes, for at most lingerTimeout.
 func (s *Server) writeHTTPError(conn net.Conn, hc *httpCtx, status int, msg string) {
 	hc.rep = appendSubmitReply(hc.rep[:0], nil, 0, 0, "", msg)
-	s.writeHTTPResponse(conn, hc, status, hc.rep, false, false)
+	if !s.writeHTTPResponse(conn, hc, status, hc.rep, false, false) {
+		return
+	}
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(lingerTimeout))
+	io.CopyN(io.Discard, hc.br, lingerBytes)
 }
+
+// Bounds on the discard after an error response (net/http's values).
+const (
+	lingerTimeout = 500 * time.Millisecond
+	lingerBytes   = 256 << 10
+)
 
 // readHTTPLine returns one CRLF-terminated line without its terminator,
 // aliasing the reader's buffer. A line longer than the buffer is a

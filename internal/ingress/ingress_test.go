@@ -261,7 +261,9 @@ func TestIngressCloseDeliversInflightReplies(t *testing.T) {
 			}
 		}()
 	}
-	waitFor(t, "admitted in-flight queries", func() bool { return ctrl.Stats().Ingress["NCF"].Queue > 0 })
+	// Close only owes replies to admitted queries, and a submission the
+	// read loop has not reached yet is not admitted: wait for all three.
+	waitFor(t, "admitted in-flight queries", func() bool { return ctrl.Stats().Ingress["NCF"].Queue == 3 })
 	ing.Close()
 	wg.Wait()
 	close(errs)

@@ -165,8 +165,8 @@ func TestSessionRequestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame[4] != frameRequestSession {
-		t.Fatalf("frame kind = %#x, want session kind", frame[4])
+	if frame[4] != frameRequest {
+		t.Fatalf("frame kind = %#x, want %#x", frame[4], frameRequest)
 	}
 	rv, err := DecodeRequestView(frame[4:])
 	if err != nil {
@@ -177,7 +177,7 @@ func TestSessionRequestFrameRoundTrip(t *testing.T) {
 		rv.DeadlineMS != 1500 {
 		t.Fatalf("decoded view %+v", rv)
 	}
-	// A plain request still decodes through the view (legacy kind).
+	// A request without session or deadline uses the same kind.
 	plain, err := AppendRequestFrame(nil, Request{ID: 5, Model: "NCF", Batch: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +189,17 @@ func TestSessionRequestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rv.ID != 5 || rv.Batch != 8 || len(rv.Session) != 0 || rv.DeadlineMS != 0 {
+	if rv.ID != 5 || rv.Batch != 8 || len(rv.Session) != 0 || rv.DeadlineMS != 0 || rv.Traced {
 		t.Fatalf("decoded plain view %+v", rv)
+	}
+	// The retired plain (0x01) and traced (0x03) request kinds, laid out
+	// as kind id(8) batch(4) modelLen(1) model, are rejected.
+	for _, kind := range []byte{0x01, 0x03} {
+		old := append([]byte{kind}, make([]byte, 12)...)
+		old = append(old, 3, 'N', 'C', 'F')
+		if _, err := DecodeRequestView(old); err == nil {
+			t.Fatalf("retired request kind %#x must be rejected", kind)
+		}
 	}
 	// Session keys over the wire limit are rejected at encode time.
 	if _, err := AppendRequestFrame(nil, Request{ID: 1, Model: "m", Batch: 1, Session: string(make([]byte, 256))}); err == nil {

@@ -353,9 +353,7 @@ func NewMultiController(groups map[string]GroupSpec, timeScale float64, addrs []
 }
 
 // dialInstance connects and handshakes with one instance server,
-// validating the announced model against the served set and negotiating
-// the wire version (binary when the instance supports it, JSON fallback
-// for legacy instances).
+// validating the announced wire version and model against the served set.
 func (c *Controller) dialInstance(addr string) (*remoteInstance, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -367,21 +365,18 @@ func (c *Controller) dialInstance(addr string) (*remoteInstance, error) {
 		conn.Close()
 		return nil, fmt.Errorf("server: handshake with %s: %w", addr, err)
 	}
+	if hello.Proto != ProtoBinary {
+		conn.Close()
+		return nil, fmt.Errorf("server: instance at %s speaks wire version %d, want %d", addr, hello.Proto, ProtoBinary)
+	}
 	if _, ok := c.groups[hello.Model]; !ok {
 		conn.Close()
 		return nil, fmt.Errorf("server: instance %s at %s announces model %q, controller serves %v",
 			hello.TypeName, addr, hello.Model, c.order)
 	}
-	if hello.Proto >= ProtoBinary {
-		// Ack the highest version both sides speak; a ProtoBinary-only
-		// instance never sees the traced frame kinds.
-		ack := min(hello.Proto, ProtoTraced)
-		if err := wc.writeJSON(HelloAck{Proto: ack}); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("server: handshake with %s: %w", addr, err)
-		}
-		wc.binary = true
-		wc.proto = ack
+	if err := wc.writeJSON(HelloAck{Proto: ProtoBinary}); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("server: handshake with %s: %w", addr, err)
 	}
 	mo := c.obs.Model(hello.Model)
 	return &remoteInstance{

@@ -32,33 +32,19 @@ func TestInstanceServerShutdownDrains(t *testing.T) {
 	}
 	addr := s.Addr()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello Hello
-	if err := ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
-	// Legacy JSON controller: two requests back-to-back, so the second is
-	// sitting fully received in the server's read buffer while the first
-	// executes.
-	if err := WriteFrame(conn, Request{ID: 1, Batch: batch}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, Request{ID: 2, Batch: batch}); err != nil {
-		t.Fatal(err)
-	}
+	// Two requests back-to-back, so the second is sitting fully received
+	// in the server's read buffer while the first executes.
+	c := dialRaw(t, addr)
+	c.send(t, Request{ID: 1, Model: m.Name, Batch: batch}, Request{ID: 2, Model: m.Name, Batch: batch})
 	time.Sleep(20 * time.Millisecond) // let request 1 start executing
 
 	done := make(chan error, 1)
 	go func() { done <- s.Shutdown(5 * time.Second) }()
 
 	for want := int64(1); want <= 2; want++ {
-		var rep Reply
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if err := ReadFrame(conn, &rep); err != nil {
+		c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		rep, err := c.recv()
+		if err != nil {
 			t.Fatalf("reply %d lost across the drain: %v", want, err)
 		}
 		if rep.ID != want || rep.Err != "" {
@@ -69,9 +55,8 @@ func TestInstanceServerShutdownDrains(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// The drained connection is closed by the server.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var rep Reply
-	if err := ReadFrame(conn, &rep); err == nil {
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.recv(); err == nil {
 		t.Fatal("connection must close after the drain")
 	}
 	// Nothing new can connect.
@@ -98,15 +83,7 @@ func TestInstanceServerShutdownIdleConn(t *testing.T) {
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello Hello
-	if err := ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
+	dialRaw(t, s.Addr())
 	// An idle connection (no pending request) drains immediately: the
 	// deadline sweep pops its blocked read and the server exits cleanly.
 	if err := s.Shutdown(5 * time.Second); err != nil {
@@ -132,18 +109,8 @@ func TestInstanceServerShutdownTimeoutForceCloses(t *testing.T) {
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello Hello
-	if err := ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, Request{ID: 1, Batch: batch}); err != nil {
-		t.Fatal(err)
-	}
+	c := dialRaw(t, s.Addr())
+	c.send(t, Request{ID: 1, Model: m.Name, Batch: batch})
 	time.Sleep(20 * time.Millisecond) // the query is now executing
 
 	start := time.Now()
@@ -160,9 +127,8 @@ func TestInstanceServerShutdownTimeoutForceCloses(t *testing.T) {
 		t.Fatalf("shutdown took %v; the force-close backstop did not bound the drain", elapsed)
 	}
 	// The client sees the cut connection, not a reply.
-	conn.SetReadDeadline(time.Now().Add(time.Second))
-	var rep Reply
-	if err := ReadFrame(conn, &rep); err == nil {
+	c.conn.SetReadDeadline(time.Now().Add(time.Second))
+	if rep, err := c.recv(); err == nil {
 		t.Fatalf("force-closed connection still delivered %+v", rep)
 	}
 }

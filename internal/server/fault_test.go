@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -11,41 +13,18 @@ import (
 	"kairos/internal/models"
 )
 
-// listenLocal opens a loopback listener that the test owns.
-func listenLocal(t *testing.T) net.Listener {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	return ln
-}
-
 // fakeInstance is a handshaking instance server that swallows every
 // request and never replies, dying when its die channel closes — the
 // minimal stand-in for a wedged-then-crashed kairosd.
 func fakeInstance(t *testing.T, typeName, model string) (addr string, die chan struct{}) {
 	t.Helper()
-	ln := listenLocal(t)
 	die = make(chan struct{})
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		if err := WriteFrame(conn, Hello{TypeName: typeName, Model: model}); err != nil {
-			return
-		}
-		go func() {
-			var req Request
-			for ReadFrame(conn, &req) == nil {
-			}
-		}()
+	addr = rawInstance(t, typeName, model, func(conn net.Conn, br *bufio.Reader) {
+		go io.Copy(io.Discard, br)
 		<-die
 		conn.Close()
-	}()
-	return ln.Addr().String(), die
+	})
+	return addr, die
 }
 
 // TestOnInstanceDownFiresOnEviction: the instance-down callback must

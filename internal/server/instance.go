@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -187,72 +186,32 @@ func (s *InstanceServer) acceptLoop() {
 	}
 }
 
-// serveConn handles one controller connection: banner, version
-// negotiation, then a request loop. Service is serialized across every
-// connection so the instance truly serves one query at a time.
+// serveConn handles one controller connection: banner, ack, then a
+// request loop. Service is serialized across every connection so the
+// instance truly serves one query at a time.
 func (s *InstanceServer) serveConn(conn net.Conn) {
 	defer conn.Close()
 	defer s.tracker.Track(conn)()
 	wc := newWireConn(conn)
-	if err := wc.writeJSON(Hello{TypeName: s.TypeName, Model: s.Model.Name, Proto: ProtoTraced}); err != nil {
+	if err := wc.writeJSON(Hello{TypeName: s.TypeName, Model: s.Model.Name, Proto: ProtoBinary}); err != nil {
 		return
 	}
-	// The first frame is always JSON: either the controller's HelloAck
-	// (selects the codec) or a legacy controller's first Request.
-	payload, err := readRawFrame(wc.br, wc.rbuf)
-	if err != nil {
+	var ack HelloAck
+	if err := ReadFrame(wc.br, &ack); err != nil || ack.Proto != ProtoBinary {
 		return
-	}
-	wc.rbuf = payload
-	var probe HandshakeProbe
-	if err := json.Unmarshal(payload, &probe); err != nil {
-		return
-	}
-	if probe.Proto != nil {
-		wc.proto = min(*probe.Proto, ProtoTraced)
-		wc.binary = wc.proto >= ProtoBinary
-	} else {
-		// Legacy JSON controller: the probe frame was its first query.
-		reply := s.serve(probe.ID, probe.Batch, probe.Model)
-		if err := wc.writeReply(reply); err != nil {
-			return
-		}
 	}
 	queued := 0 // replies buffered but not yet flushed
 	for {
-		var id int64
-		var batch int
-		var model string
-		var traced bool
-		if wc.binary {
-			bid, bbatch, bmodel, btraced, err := wc.readBinaryRequest()
-			if err != nil {
-				if s.drainExit(err) {
-					wc.flush()
-				}
-				return
+		rv, err := wc.readRequest()
+		if err != nil {
+			if s.drainExit(err) {
+				wc.flush()
 			}
-			id, batch, traced = bid, bbatch, btraced
-			// Compare in place; the conversion in the comparison below does
-			// not allocate, and s.serve only needs the name on mismatch.
-			if len(bmodel) > 0 && string(bmodel) != s.Model.Name {
-				model = string(bmodel)
-			} else {
-				model = s.Model.Name
-			}
-		} else {
-			var req Request
-			if err := ReadFrame(wc.br, &req); err != nil {
-				if s.drainExit(err) {
-					wc.flush()
-				}
-				return
-			}
-			id, batch, model, traced = req.ID, req.Batch, req.Model, req.Trace
+			return
 		}
-		reply := s.validate(id, batch, model)
+		reply := s.validate(rv.ID, rv.Batch, rv.Model)
 		if reply.Err == "" {
-			serviceMS := s.Model.Latency(s.TypeName, batch)
+			serviceMS := s.Model.Latency(s.TypeName, rv.Batch)
 			// A reply may only be withheld across the next service if that
 			// service is cheaper than the syscall being saved — never delay
 			// an already-finished query's completion behind a real model
@@ -263,8 +222,8 @@ func (s *InstanceServer) serveConn(conn net.Conn) {
 				}
 				queued = 0
 			}
-			reply = s.execute(id, serviceMS, traced)
-		} else if traced {
+			reply = s.execute(rv.ID, serviceMS, rv.Traced)
+		} else if rv.Traced {
 			reply.Traced = true
 		}
 		if err := wc.queueReply(reply); err != nil {
@@ -290,9 +249,10 @@ const promptReplyBudget = 100 * time.Microsecond
 
 // validate checks a request against the hosted model and calibrated batch
 // range; the returned Reply carries an error on rejection and is the
-// zero-valued success otherwise.
-func (s *InstanceServer) validate(id int64, batch int, model string) Reply {
-	if model != "" && model != s.Model.Name {
+// zero-valued success otherwise. The model name is compared in place:
+// the conversion in the comparison does not allocate.
+func (s *InstanceServer) validate(id int64, batch int, model []byte) Reply {
+	if string(model) != s.Model.Name {
 		return Reply{ID: id, Err: fmt.Sprintf("instance serves model %s, not %s", s.Model.Name, model)}
 	}
 	if batch < 1 || batch > models.MaxBatch {
@@ -319,12 +279,4 @@ func (s *InstanceServer) execute(id int64, serviceMS float64, traced bool) Reply
 	}
 	time.Sleep(time.Duration(serviceMS * s.TimeScale * float64(time.Millisecond)))
 	return rep
-}
-
-// serve validates and executes one request.
-func (s *InstanceServer) serve(id int64, batch int, model string) Reply {
-	if rep := s.validate(id, batch, model); rep.Err != "" {
-		return rep
-	}
-	return s.execute(id, s.Model.Latency(s.TypeName, batch), false)
 }

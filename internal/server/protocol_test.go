@@ -1,47 +1,52 @@
 package server
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
-	"net"
 	"strings"
 	"testing"
-	"time"
-
-	"kairos/internal/cloud"
-	"kairos/internal/models"
 )
 
-// TestBinaryRequestRoundTrip is a property test over the binary request
-// codec: random IDs (full int64 range), batches (full int32 range), and
-// model names up to the wire limit must survive encode → decode exactly.
+// TestBinaryRequestRoundTrip is a property test over the request codec:
+// random IDs (full int64 range), batches (full int32 range), model names
+// and session keys up to the wire limit, deadlines over the full uint32
+// range and the trace flag — all together in one frame — must survive
+// encode → decode exactly.
 func TestBinaryRequestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var buf []byte
 	for i := 0; i < 2000; i++ {
 		in := Request{
-			ID:    rng.Int63() - rng.Int63(),
-			Batch: int(int32(rng.Uint32())),
-			Model: strings.Repeat("m", rng.Intn(256)),
-			Trace: rng.Intn(2) == 1,
+			ID:         rng.Int63() - rng.Int63(),
+			Batch:      int(int32(rng.Uint32())),
+			Model:      strings.Repeat("m", 1+rng.Intn(255)),
+			Trace:      rng.Intn(2) == 1,
+			Session:    strings.Repeat("s", rng.Intn(256)),
+			DeadlineMS: int64(rng.Uint32()),
 		}
 		var err error
 		buf, err = AppendRequestFrame(buf[:0], in)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", in, err)
 		}
-		id, batch, model, traced, err := DecodeRequestFrame(buf[4:])
+		if n := binary.BigEndian.Uint32(buf); int(n) != len(buf)-4 {
+			t.Fatalf("length prefix %d for a %d-byte payload", n, len(buf)-4)
+		}
+		rv, err := DecodeRequestView(buf[4:])
 		if err != nil {
 			t.Fatalf("decode %+v: %v", in, err)
 		}
-		if id != in.ID || batch != in.Batch || string(model) != in.Model || traced != in.Trace {
-			t.Fatalf("round trip: got (%d,%d,%q,%v), want (%d,%d,%q,%v)", id, batch, model, traced, in.ID, in.Batch, in.Model, in.Trace)
+		out := Request{ID: rv.ID, Batch: rv.Batch, Model: string(rv.Model), Trace: rv.Traced,
+			Session: string(rv.Session), DeadlineMS: rv.DeadlineMS}
+		if out != in {
+			t.Fatalf("round trip: got %+v, want %+v", out, in)
 		}
 	}
 }
 
 // TestBinaryReplyRoundTrip is the reply-side property test, covering
-// special floats and error strings up to the frame limit.
+// special floats, the trace flag with its wait, and error strings.
 func TestBinaryReplyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var buf []byte
@@ -50,10 +55,8 @@ func TestBinaryReplyRoundTrip(t *testing.T) {
 			ID:        rng.Int63() - rng.Int63(),
 			ServiceMS: math.Float64frombits(rng.Uint64()),
 			Err:       strings.Repeat("e", rng.Intn(512)),
-		}
-		if rng.Intn(2) == 1 {
-			in.Traced = true
-			in.WaitNS = rng.Int63() - rng.Int63()
+			Traced:    rng.Intn(2) == 1,
+			WaitNS:    rng.Int63() - rng.Int63(),
 		}
 		if math.IsNaN(in.ServiceMS) {
 			in.ServiceMS = 0 // NaN != NaN breaks the equality check below
@@ -73,19 +76,26 @@ func TestBinaryReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecRejectsMalformed: wrong kind bytes, truncations, length
-// mismatches, and over-limit fields must all error instead of misparsing.
+// TestBinaryCodecRejectsMalformed: wrong kind bytes, unknown flag bits,
+// truncations, length mismatches, and over-limit or missing fields must
+// all error instead of misparsing.
 func TestBinaryCodecRejectsMalformed(t *testing.T) {
 	if _, err := AppendRequestFrame(nil, Request{Model: strings.Repeat("x", 256)}); err == nil {
 		t.Fatal("oversized model must fail to encode")
 	}
-	if _, err := AppendRequestFrame(nil, Request{Batch: math.MaxInt32 + 1}); err == nil {
+	if _, err := AppendRequestFrame(nil, Request{Batch: 1}); err == nil {
+		t.Fatal("a request without a model must fail to encode")
+	}
+	if _, err := AppendRequestFrame(nil, Request{Model: "NCF", Batch: math.MaxInt32 + 1}); err == nil {
 		t.Fatal("batch outside int32 must fail to encode")
+	}
+	if _, err := AppendRequestFrame(nil, Request{Model: "NCF", DeadlineMS: -1}); err == nil {
+		t.Fatal("negative deadline must fail to encode")
 	}
 	if _, err := AppendReplyFrame(nil, Reply{Err: strings.Repeat("x", math.MaxUint16+1)}); err == nil {
 		t.Fatal("oversized error must fail to encode")
 	}
-	req, err := AppendRequestFrame(nil, Request{ID: 1, Model: "NCF", Batch: 2})
+	req, err := AppendRequestFrame(nil, Request{ID: 1, Model: "NCF", Batch: 2, Session: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,183 +103,59 @@ func TestBinaryCodecRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, err := DecodeRequestFrame(rep[4:]); err == nil {
+	if _, err := DecodeRequestView(rep[4:]); err == nil {
 		t.Fatal("request decoder must reject a reply frame")
 	}
 	if _, err := DecodeReplyFrame(req[4:]); err == nil {
 		t.Fatal("reply decoder must reject a request frame")
 	}
-	for _, p := range [][]byte{nil, {frameRequest}, req[4 : len(req)-1], append(append([]byte{}, req[4:]...), 0)} {
-		if _, _, _, _, err := DecodeRequestFrame(p); err == nil {
-			t.Fatalf("truncated/padded request %v must fail", p)
+	// with returns a copy of the payload p with byte i set to b.
+	with := func(p []byte, i int, b byte) []byte {
+		q := append([]byte{}, p...)
+		q[i] = b
+		return q
+	}
+	pad := func(p []byte) []byte { return append(append([]byte{}, p...), 0) }
+	badReqs := [][]byte{
+		nil, {frameRequest},
+		req[4 : len(req)-1], pad(req[4:]),
+		with(req[4:], 17, 0x02),      // unknown flag bit
+		with(req[4:], 18, 0),         // empty model
+		with(req[4:], 18, 200),       // model runs past the frame
+		with(req[4:], len(req)-6, 9), // session runs past the frame
+	}
+	for kind := 0; kind < 256; kind++ {
+		if kind != frameRequest {
+			badReqs = append(badReqs, with(req[4:], 0, byte(kind)))
 		}
 	}
-	for _, p := range [][]byte{nil, {frameReply}, rep[4 : len(rep)-1], append(append([]byte{}, rep[4:]...), 0)} {
+	for _, p := range badReqs {
+		if _, err := DecodeRequestView(p); err == nil {
+			t.Fatalf("malformed request %v must fail", p)
+		}
+	}
+	badReps := [][]byte{
+		nil, {frameReply},
+		rep[4 : len(rep)-1], pad(rep[4:]),
+		with(rep[4:], 17, 0x80), // unknown flag bit
+		with(rep[4:], 27, 5),    // error runs past the frame
+	}
+	for kind := 0; kind < 256; kind++ {
+		if kind != frameReply {
+			badReps = append(badReps, with(rep[4:], 0, byte(kind)))
+		}
+	}
+	for _, p := range badReps {
 		if _, err := DecodeReplyFrame(p); err == nil {
-			t.Fatalf("truncated/padded reply %v must fail", p)
+			t.Fatalf("malformed reply %v must fail", p)
 		}
 	}
-	// A traced reply that is too short for its WaitNS field must not
-	// misparse as a plain reply.
-	trep, err := AppendReplyFrame(nil, Reply{ID: 9, ServiceMS: 1, Traced: true, WaitNS: 42})
-	if err != nil {
+	// The unmutated frames still decode: every rejection above came from
+	// its one mutated byte.
+	if _, err := DecodeRequestView(req[4:]); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range [][]byte{trep[4:23], trep[4 : len(trep)-1], append(append([]byte{}, trep[4:]...), 0)} {
-		if _, err := DecodeReplyFrame(p); err == nil {
-			t.Fatalf("truncated/padded traced reply %v must fail", p)
-		}
-	}
-}
-
-// legacyJSONInstance emulates a pre-binary instance server: its Hello
-// carries no proto field and it speaks length-prefixed JSON only.
-func legacyJSONInstance(t *testing.T, typeName string, m models.Model) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	if _, err := DecodeReplyFrame(rep[4:]); err != nil {
 		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		type legacyHello struct {
-			TypeName string `json:"type_name"`
-			Model    string `json:"model"`
-		}
-		if err := WriteFrame(conn, legacyHello{TypeName: typeName, Model: m.Name}); err != nil {
-			return
-		}
-		for {
-			var req Request
-			if err := ReadFrame(conn, &req); err != nil {
-				return
-			}
-			if err := WriteFrame(conn, Reply{ID: req.ID, ServiceMS: m.Latency(typeName, req.Batch)}); err != nil {
-				return
-			}
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestMixedVersionBinaryControllerJSONInstance: a controller that prefers
-// the binary protocol must fall back to JSON for a legacy instance whose
-// banner announces no version — and serve through it correctly.
-func TestMixedVersionBinaryControllerJSONInstance(t *testing.T) {
-	t.Parallel()
-	m := models.MustByName("NCF")
-	legacyAddr := legacyJSONInstance(t, cloud.G4dnXlarge.Name, m)
-	modern := startServer(t, cloud.R5nLarge.Name, 1)
-	types := []string{cloud.G4dnXlarge.Name, cloud.R5nLarge.Name}
-	ctrl, err := NewController(m.Name, kairosPolicy(m, types), 1, m.Latency, []string{legacyAddr, modern.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	// A max-size query must land on the (legacy, JSON) GPU; a tiny one on
-	// the (modern, binary) CPU — both protocols serving side by side.
-	res := ctrl.SubmitWait(m.Name, 1000)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Instance != cloud.G4dnXlarge.Name {
-		t.Fatalf("big query served by %s, want the legacy GPU", res.Instance)
-	}
-	res = ctrl.SubmitWait(m.Name, 10)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Instance != cloud.R5nLarge.Name {
-		t.Fatalf("tiny query served by %s, want the modern CPU", res.Instance)
-	}
-	st := ctrl.Stats()
-	if st.Completed != 2 || st.Failed != 0 {
-		t.Fatalf("mixed-version stats = %+v", st)
-	}
-}
-
-// TestMixedVersionJSONControllerBinaryInstance: a legacy controller that
-// never sends a HelloAck must still be served by a modern instance — the
-// instance's first-frame probe has to treat the JSON request as traffic,
-// not as a failed negotiation.
-func TestMixedVersionJSONControllerBinaryInstance(t *testing.T) {
-	t.Parallel()
-	m := models.MustByName("NCF")
-	s := startServer(t, cloud.G4dnXlarge.Name, 1)
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello Hello
-	if err := ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Proto < ProtoBinary {
-		t.Fatalf("modern instance announced proto %d", hello.Proto)
-	}
-	// Speak legacy JSON: requests straight away, no ack.
-	for i := int64(1); i <= 3; i++ {
-		if err := WriteFrame(conn, Request{ID: i, Model: m.Name, Batch: 100}); err != nil {
-			t.Fatal(err)
-		}
-		var rep Reply
-		if err := ReadFrame(conn, &rep); err != nil {
-			t.Fatal(err)
-		}
-		if rep.ID != i || rep.Err != "" || rep.ServiceMS <= 0 {
-			t.Fatalf("legacy round %d: %+v", i, rep)
-		}
-	}
-}
-
-// TestNegotiatedBinaryHandshake pins the wire negotiation: a modern
-// controller and instance agree on ProtoBinary and the first dispatched
-// query round-trips through the binary codec (observable as a correct
-// reply with a sub-frame latency budget — and via the raw ack below).
-func TestNegotiatedBinaryHandshake(t *testing.T) {
-	t.Parallel()
-	m := models.MustByName("NCF")
-	s := startServer(t, cloud.G4dnXlarge.Name, 1)
-	// Raw dial: confirm the instance announces binary support and accepts
-	// an explicit ack followed by a binary request.
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello Hello
-	if err := ReadFrame(conn, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Proto < ProtoBinary {
-		t.Fatalf("instance announced proto %d, want >= %d", hello.Proto, ProtoBinary)
-	}
-	if err := WriteFrame(conn, HelloAck{Proto: ProtoBinary}); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := AppendRequestFrame(nil, Request{ID: 99, Model: m.Name, Batch: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	payload, err := readRawFrame(conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := DecodeReplyFrame(payload)
-	if err != nil {
-		t.Fatalf("reply not binary after ack: %v", err)
-	}
-	if rep.ID != 99 || rep.Err != "" || rep.ServiceMS <= 0 {
-		t.Fatalf("binary reply = %+v", rep)
 	}
 }
