@@ -1,8 +1,9 @@
 // Command kairos-microbench runs the repository's perf-critical
 // microbenchmarks — the assignment solvers (the matching distributor's
 // inner loop), the matching-distributor Assign hot path (the controller's
-// per-round scheduling cost), the shared-budget fleet allocator, the
-// live serving path (wire-frame encode/decode and loopback
+// per-round scheduling cost), the shared-budget fleet allocator and its
+// construction, fleet registration (dialing a controller into 28
+// instances), the live serving path (wire-frame encode/decode and loopback
 // Submit→complete throughput through the sharded controller), the
 // flight-recorder hot paths (histogram record and trace stamping), and
 // the ingress hot path (external Submit→complete over HTTP and binary
@@ -226,6 +227,61 @@ func planFleetOneDirtyBench() func(*testing.B) {
 	}
 }
 
+// fleetPlannerNewBench benchmarks building the fleet planner on the
+// default pool at $5/hr: enumerating the configuration space and sorting
+// it by cost, the planning cost every fresh deploy pays first.
+func fleetPlannerNewBench() func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := kairos.NewFleetPlanner(kairos.DefaultPool(), 5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// controllerConnectBench benchmarks registering a fleet: NewMultiController
+// dialing and handshaking 28 in-process loopback instance servers (2
+// g4dn.xlarge + 26 r5n.large serving RM2, the $5/hr RM2 plan). The
+// controller's Close is outside the timed region.
+func controllerConnectBench() func(*testing.B) {
+	return func(b *testing.B) {
+		m, err := kairos.ModelByName("RM2")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var addrs []string
+		for i := 0; i < 28; i++ {
+			typeName := "r5n.large"
+			if i < 2 {
+				typeName = "g4dn.xlarge"
+			}
+			s, err := server.NewInstanceServer(typeName, m, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Start("127.0.0.1:0"); err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			addrs = append(addrs, s.Addr())
+		}
+		groups := map[string]server.GroupSpec{m.Name: {Policy: &server.LeastBacklog{}, Predict: m.Latency}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ctrl, err := server.NewMultiController(groups, 1, addrs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			ctrl.Close()
+			b.StartTimer()
+		}
+	}
+}
+
 // frameBench wraps one shared wire-codec case (see
 // server.FrameBenchCases: the same loops back the in-package benchmarks,
 // so the BENCH_micro.json trajectory and `go test -bench` agree).
@@ -331,6 +387,7 @@ func main() {
 		{"PlanFleet2Models", planFleetBench()},
 		{"PlanFleet100Models", planFleet100Bench()},
 		{"PlanFleetIncrementalOneDirty", planFleetOneDirtyBench()},
+		{"FleetPlannerNew", fleetPlannerNewBench()},
 	}
 	for _, c := range server.FrameBenchCases() {
 		benches = append(benches, struct {
@@ -352,6 +409,10 @@ func main() {
 		name string
 		fn   func(*testing.B)
 	}{"ControllerThroughputKairosPolicy", controllerThroughputBench(server.BenchKairosPolicy)})
+	benches = append(benches, struct {
+		name string
+		fn   func(*testing.B)
+	}{"ControllerConnect", controllerConnectBench()})
 	benches = append(benches, struct {
 		name string
 		fn   func(*testing.B)

@@ -4,12 +4,18 @@
 // inference server).
 //
 // The ready line ("kairosd: TYPE serving MODEL on ADDR (timescale X)") is
-// a contract with the autopilot's exec actuation provider, which parses
-// it to learn the bound address of a `-addr 127.0.0.1:0` daemon. On
-// SIGTERM/SIGINT the daemon drains: it stops accepting connections,
-// serves every fully-received in-flight query, flushes the replies, and
-// only then exits — so a control plane stopping a kairosd never drops
-// queries.
+// a contract with the autopilot's exec actuation provider: it is printed
+// only once the listener is bound, and the provider parses it to learn
+// the bound address of a `-addr 127.0.0.1:0` daemon and to check the
+// announced type and model. On SIGTERM/SIGINT the daemon drains: it stops
+// accepting connections, serves every fully-received in-flight query,
+// flushes the replies, and only then exits — so a control plane stopping
+// a kairosd never drops queries.
+//
+// Unlike the other commands, kairosd imports internal/server and
+// internal/models directly rather than the kairos facade: a fleet start-up
+// execs one kairosd per instance, and linking only the instance server
+// keeps each start-up cheap.
 //
 // Usage:
 //
@@ -21,14 +27,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"kairos"
+	"kairos/internal/models"
+	"kairos/internal/server"
 )
 
 func main() {
@@ -37,21 +42,13 @@ func main() {
 	modelName := flag.String("model", "RM2", "served model (see kairos-bench -run table3)")
 	timeScale := flag.Float64("timescale", 1.0, "real seconds per simulated second (0.1 = 10x faster)")
 	drain := flag.Duration("drain", 10*time.Second, "max time to drain in-flight queries on SIGTERM")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		go func() {
-			log.Printf("kairosd: pprof on http://%s/debug/pprof/", *pprofAddr)
-			log.Println(http.ListenAndServe(*pprofAddr, nil))
-		}()
-	}
-
-	model, err := kairos.ModelByName(*modelName)
+	model, err := models.ByName(*modelName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	s, err := kairos.NewInstanceServer(*typeName, model, *timeScale)
+	s, err := server.NewInstanceServer(*typeName, model, *timeScale)
 	if err != nil {
 		log.Fatal(err)
 	}

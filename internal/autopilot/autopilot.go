@@ -1188,11 +1188,13 @@ func (a *Autopilot) updateRates(now time.Time) (float64, bool) {
 // real kairosd processes.
 //
 // Every launch runs at once (launchAll), and the controller registers
-// the new instances in plan order, so instance order does not depend on
-// which launch finished first. A failed launch does not stop the others:
-// the successes are registered and the error returned, and the next
-// pass launches only what is still missing. The drains then run at once
-// too, each stopping its instance when its backlog is delivered.
+// the launched batch in one AddInstances pass, in plan order, so
+// instance order does not depend on which launch or handshake finished
+// first. A failed launch or registration does not stop the others: the
+// successes are registered, an instance that launched but failed to
+// register is stopped, the error is returned, and the next pass
+// launches only what is still missing. The drains then run at once too,
+// each stopping its instance when its backlog is delivered.
 func (a *Autopilot) actuate(to core.FleetPlan) error {
 	// diff lists, per model in order and then in pool order, one spec
 	// per instance the fleet has too few (add) or too many (!add) of.
@@ -1219,11 +1221,17 @@ func (a *Autopilot) actuate(to core.FleetPlan) error {
 	}
 	adds := diff(true)
 	addrs, errs := launchAll(a.provider, adds)
+	var launched []string
+	var at []int // index into adds of each launched address
 	for i, err := range errs {
-		if err != nil {
-			continue
+		if err == nil {
+			launched = append(launched, addrs[i])
+			at = append(at, i)
 		}
-		if _, errs[i] = a.ctrl.AddInstance(addrs[i]); errs[i] != nil {
+	}
+	_, regErrs := a.ctrl.AddInstances(launched)
+	for k, i := range at {
+		if errs[i] = regErrs[k]; errs[i] != nil {
 			a.provider.Stop(addrs[i])
 			continue
 		}

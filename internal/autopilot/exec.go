@@ -5,20 +5,17 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"os/exec"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	"kairos/internal/server"
 )
 
 // Defaults for ExecFleet's lifecycle timeouts.
 const (
 	// DefaultLaunchTimeout bounds waiting for a spawned kairosd's ready
-	// line and Hello banner.
+	// line.
 	DefaultLaunchTimeout = 10 * time.Second
 	// DefaultStopTimeout bounds a SIGTERM'd kairosd's graceful drain
 	// before it is killed.
@@ -28,11 +25,11 @@ const (
 // ExecFleet is the exec actuation Provider: it spawns real kairosd
 // processes (cmd/kairosd) on the local host, one per instance. Launch
 // starts `kairosd -addr 127.0.0.1:0`, waits for the daemon's ready line
-// to learn the bound port, health-checks the Hello banner (the announced
-// model and type must match what was asked for), and only then hands the
-// address to the actuator. Stop sends SIGTERM — kairosd drains in-flight
-// queries before exiting — and reaps the process, escalating to SIGKILL
-// after StopTimeout.
+// to learn the bound port, checks that the line announces the model and
+// type asked for, and hands the address to the actuator, whose
+// controller handshake is the one dial. Stop sends SIGTERM — kairosd
+// drains in-flight queries before exiting — and reaps the process,
+// escalating to SIGKILL after StopTimeout.
 //
 // It is the stepping stone from the in-process Fleet toward SSH/cloud
 // provisioning: the control plane already manages real processes over
@@ -150,48 +147,27 @@ func (f *ExecFleet) logf(format string, args ...any) {
 	}
 }
 
-// parseReadyLine extracts the listen address from kairosd's ready line,
-// e.g. "kairosd: g4dn.xlarge serving NCF on 127.0.0.1:41837 (timescale
-// 1.00)". The line format is a contract between cmd/kairosd and this
-// provider.
-func parseReadyLine(line string) (string, bool) {
-	if !strings.HasPrefix(line, "kairosd: ") {
-		return "", false
-	}
-	fields := strings.Fields(line)
-	for i := 0; i+1 < len(fields); i++ {
-		if fields[i] == "on" {
-			return fields[i+1], true
-		}
-	}
-	return "", false
-}
+// readyLine is what kairosd announces once its listener is bound.
+type readyLine struct{ typeName, model, addr string }
 
-// probeHello health-checks a freshly-launched instance: dial, read the
-// Hello banner, verify the announced model and type. The probe connection
-// is closed without an ack, so the instance's handshake read fails and it
-// drops the connection.
-func probeHello(addr, model, typeName string, timeout time.Duration) error {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return fmt.Errorf("dialing %s: %w", addr, err)
+// parseReadyLine parses kairosd's ready line, e.g. "kairosd: g4dn.xlarge
+// serving NCF on 127.0.0.1:41837 (timescale 1.00)", into the announced
+// type, model and bound address. The line format is a contract between
+// cmd/kairosd and this provider.
+func parseReadyLine(line string) (readyLine, bool) {
+	f := strings.Fields(line)
+	if len(f) < 6 || f[0] != "kairosd:" || f[2] != "serving" || f[4] != "on" {
+		return readyLine{}, false
 	}
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(timeout))
-	var hello server.Hello
-	if err := server.ReadFrame(conn, &hello); err != nil {
-		return fmt.Errorf("reading Hello banner from %s: %w", addr, err)
-	}
-	if hello.Model != model || hello.TypeName != typeName {
-		return fmt.Errorf("instance at %s announces %s/%s, want %s/%s",
-			addr, hello.TypeName, hello.Model, typeName, model)
-	}
-	return nil
+	return readyLine{typeName: f[1], model: f[3], addr: f[5]}, true
 }
 
 // Launch spawns one kairosd serving the named model as the given type on
 // an ephemeral loopback port and returns the bound address once the
-// process passes its banner health check.
+// process's ready line announces that type and model. kairosd prints the
+// line only after its listener is up, so the address is dialable; the
+// controller's handshake then validates the wire version and model
+// again, under its own timeout.
 func (f *ExecFleet) Launch(model, typeName string) (string, error) {
 	if len(f.models) > 0 && !f.models[model] {
 		return "", fmt.Errorf("autopilot: exec fleet does not serve model %q", model)
@@ -219,13 +195,13 @@ func (f *ExecFleet) Launch(model, typeName string) (string, error) {
 	waited := make(chan error, 1)
 	go func() { waited <- cmd.Wait() }()
 
-	addrCh := make(chan string, 1)
+	readyCh := make(chan readyLine, 1)
 	eofCh := make(chan struct{})
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
-			if addr, ok := parseReadyLine(sc.Text()); ok {
-				addrCh <- addr
+			if ready, ok := parseReadyLine(sc.Text()); ok {
+				readyCh <- ready
 				// Keep draining stdout so the daemon never blocks on a
 				// full pipe.
 				io.Copy(io.Discard, stdout)
@@ -245,9 +221,9 @@ func (f *ExecFleet) Launch(model, typeName string) (string, error) {
 		}
 		return "", fmt.Errorf("autopilot: exec %s/%s: %w", model, typeName, cause)
 	}
-	var addr string
+	var ready readyLine
 	select {
-	case addr = <-addrCh:
+	case ready = <-readyCh:
 	case <-eofCh:
 		// Stdout closed without a ready line: usually the process died,
 		// but a wrapper that redirects stdout and keeps running must not
@@ -257,9 +233,10 @@ func (f *ExecFleet) Launch(model, typeName string) (string, error) {
 	case <-time.After(f.launchTimeout()):
 		return fail(fmt.Errorf("no ready line within %v", f.launchTimeout()))
 	}
-	if err := probeHello(addr, model, typeName, f.launchTimeout()); err != nil {
-		return fail(err)
+	if ready.model != model || ready.typeName != typeName {
+		return fail(fmt.Errorf("kairosd announces %s/%s, want %s/%s", ready.typeName, ready.model, typeName, model))
 	}
+	addr := ready.addr
 	f.mu.Lock()
 	f.procs[addr] = &execProc{model: model, typeName: typeName, cmd: cmd, waited: waited, stderr: stderr}
 	f.mu.Unlock()

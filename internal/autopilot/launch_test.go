@@ -2,9 +2,11 @@ package autopilot
 
 import (
 	"fmt"
+	"net"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -274,6 +276,90 @@ func TestHealPartialLaunchFailureConverges(t *testing.T) {
 	}
 }
 
+// refusingProvider is an in-process Fleet that, once armed, answers one
+// launch with the address of a closed listener: a launch that succeeds
+// but whose instance refuses the controller. It records every Stop.
+type refusingProvider struct {
+	*Fleet
+
+	mu      sync.Mutex
+	armed   bool
+	refused string
+	stopped []string
+}
+
+func (p *refusingProvider) Launch(model, typeName string) (string, error) {
+	p.mu.Lock()
+	if p.armed {
+		p.armed = false
+		p.mu.Unlock()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return "", err
+		}
+		ln.Close()
+		p.mu.Lock()
+		p.refused = ln.Addr().String()
+		p.mu.Unlock()
+		return ln.Addr().String(), nil
+	}
+	p.mu.Unlock()
+	return p.Fleet.Launch(model, typeName)
+}
+
+func (p *refusingProvider) Stop(addr string) error {
+	p.mu.Lock()
+	p.stopped = append(p.stopped, addr)
+	refused := addr == p.refused
+	p.mu.Unlock()
+	if refused {
+		return nil
+	}
+	return p.Fleet.Stop(addr)
+}
+
+// TestActuateRegistersAroundARefusedInstance: when one launched
+// instance refuses the controller's handshake, the batch's other
+// instances are registered and serve, the refused one is stopped, and
+// the error is reported.
+func TestActuateRegistersAroundARefusedInstance(t *testing.T) {
+	t.Parallel()
+	m := ncf()
+	p := &refusingProvider{Fleet: NewFleet(1, m)}
+	ap := startAutopilotOn(t, p, cloud.Config{0, 0, 1, 0}, Options{
+		Plan: singlePlan(m, func([]int) (cloud.Config, error) { return cloud.Config{0, 0, 1, 0}, nil }),
+	})
+	p.mu.Lock()
+	p.armed = true
+	p.mu.Unlock()
+	err := ap.actuate(plan(m, cloud.Config{1, 0, 3, 0}))
+	if err == nil || !strings.Contains(err.Error(), "dialing") {
+		t.Fatalf("actuate with a refused instance = %v, want its dial error", err)
+	}
+	if got := ap.Controller().ModelInstanceCounts(m.Name); got[cloud.G4dnXlarge.Name]+got[cloud.R5nLarge.Name] != 3 {
+		t.Fatalf("controller holds %v, want the survivor plus the 2 registrable launches", got)
+	}
+	p.mu.Lock()
+	stopped, refused := slices.Clone(p.stopped), p.refused
+	p.mu.Unlock()
+	if len(stopped) != 1 || stopped[0] != refused {
+		t.Fatalf("stopped %v, want only the refused %s", stopped, refused)
+	}
+	if n := p.Size(); n != 3 {
+		t.Fatalf("provider runs %d instances, want 3", n)
+	}
+	if res := ap.Controller().SubmitWait(m.Name, 100); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	// The next pass launches only what is still missing.
+	if err := ap.actuate(plan(m, cloud.Config{1, 0, 3, 0})); err != nil {
+		t.Fatal(err)
+	}
+	if got := ap.Controller().ModelInstanceCounts(m.Name); got[cloud.G4dnXlarge.Name] != 1 || got[cloud.R5nLarge.Name] != 3 {
+		t.Fatalf("converged fleet %v, want 1 GPU + 3 CPU", got)
+	}
+}
+
 // TestExecFleetConcurrentLaunches starts eight kairosd processes at once
 // through the actuation launch path: every one gets its own address and
 // announces the model and type asked of it.
@@ -307,8 +393,8 @@ func TestExecFleetConcurrentLaunches(t *testing.T) {
 			t.Fatalf("address %s handed out twice", addrs[i])
 		}
 		seen[addrs[i]] = true
-		if err := probeHello(addrs[i], specs[i].model, specs[i].typeName, 5*time.Second); err != nil {
-			t.Fatalf("launch %d: %v", i, err)
+		if hello := readBanner(t, addrs[i]); hello.Model != specs[i].model || hello.TypeName != specs[i].typeName {
+			t.Fatalf("launch %d at %s announces %s/%s, want %s/%s", i, addrs[i], hello.TypeName, hello.Model, specs[i].typeName, specs[i].model)
 		}
 	}
 	if n := f.Size(); n != len(specs) {
@@ -320,4 +406,21 @@ func TestExecFleetConcurrentLaunches(t *testing.T) {
 	if n := f.Size(); n != 0 {
 		t.Fatalf("%d processes left after Close", n)
 	}
+}
+
+// readBanner dials a launched instance and reads its Hello banner. The
+// connection closes without an ack, so the instance drops it.
+func readBanner(t *testing.T, addr string) server.Hello {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var hello server.Hello
+	if err := server.ReadFrame(conn, &hello); err != nil {
+		t.Fatalf("reading the Hello banner from %s: %v", addr, err)
+	}
+	return hello
 }

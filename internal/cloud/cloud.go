@@ -365,13 +365,18 @@ func (p Pool) Enumerate(budget float64, opts ...EnumerateOption) []Config {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var out []Config
+	// Every kept configuration is appended to one flat array, and the
+	// returned Configs are capacity-capped windows into it: one growing
+	// allocation instead of one per configuration.
+	var flat []int
+	kept := 0
 	cur := NewConfig(p)
 	var rec func(i int, remaining float64)
 	rec = func(i int, remaining float64) {
 		if i == len(p) {
 			if cur.Total() >= o.minTotal && cur.Base() >= o.minBase {
-				out = append(out, cur.Clone())
+				flat = append(flat, cur...)
+				kept++
 			}
 			return
 		}
@@ -383,6 +388,14 @@ func (p Pool) Enumerate(budget float64, opts ...EnumerateOption) []Config {
 		cur[i] = 0
 	}
 	rec(0, budget)
+	if kept == 0 {
+		return nil
+	}
+	n := len(p)
+	out := make([]Config, kept)
+	for i := range out {
+		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
 	return out
 }
 

@@ -250,21 +250,32 @@ func NewFleetPlanner(pool cloud.Pool, enumBudget float64) (*FleetPlanner, error)
 // rescans every cached frontier against it.
 func (p *FleetPlanner) enumerate(budget float64) {
 	configs := p.pool.Enumerate(budget)
-	entries := make([]enumEntry, len(configs))
-	for i, cfg := range configs {
-		entries[i] = enumEntry{cfg: cfg, cost: p.pool.Cost(cfg)}
+	// Sort pointer-free (cost, enumeration index) keys, then lay the
+	// entries out in key order. Enumerate yields numeric-lexicographic
+	// order, so equal-cost candidates keep that deterministic relative
+	// order: the order of a stable sort by cost, at an unstable sort's
+	// price.
+	type costKey struct {
+		cost float64
+		idx  int
 	}
-	// Stable by cost: Enumerate yields numeric-lexicographic order, so
-	// equal-cost candidates keep a deterministic relative order.
-	slices.SortStableFunc(entries, func(a, b enumEntry) int {
+	keys := make([]costKey, len(configs))
+	for i, cfg := range configs {
+		keys[i] = costKey{p.pool.Cost(cfg), i}
+	}
+	slices.SortFunc(keys, func(a, b costKey) int {
 		switch {
 		case a.cost < b.cost:
 			return -1
 		case a.cost > b.cost:
 			return 1
 		}
-		return 0
+		return a.idx - b.idx
 	})
+	entries := make([]enumEntry, len(keys))
+	for i, k := range keys {
+		entries[i] = enumEntry{cfg: configs[k.idx], cost: k.cost}
+	}
 	p.enum = entries
 	p.enumBudget = budget
 	for _, l := range p.models {

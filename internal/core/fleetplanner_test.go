@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"kairos/internal/cloud"
@@ -277,5 +280,63 @@ func TestEstimatorResetMatchesFresh(t *testing.T) {
 	// A failed Reset leaves the previous window in force.
 	if got, want := est.UpperBound(cloud.Config{1, 0, 0, 0}), fresh.UpperBound(cloud.Config{1, 0, 0, 0}); got != want {
 		t.Fatalf("failed Reset corrupted the window: %v vs %v", got, want)
+	}
+}
+
+// TestFleetPlannerEnumOrderIsStableCostSort: the shared enumeration is
+// sorted by (cost, enumeration index), which must give exactly the
+// order of a stable sort by cost — equal-cost candidates in Enumerate's
+// order — across budgets and across pools with and without spot
+// variants, so every frontier (and every plan) is unchanged.
+func TestFleetPlannerEnumOrderIsStableCostSort(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(5))
+	// The catalog's prices almost never sum to exactly equal costs, so a
+	// pool of binary-exact prices makes equal-cost groups common.
+	tied := cloud.DefaultPool()
+	for i, price := range []float64{0.5, 0.25, 0.25, 0.125} {
+		tied[i].PricePerHour = price
+	}
+	pools := map[string]cloud.Pool{
+		"default":         cloud.DefaultPool(),
+		"three-type":      cloud.ThreeTypePool(),
+		"perturbed":       perturbPool(rng),
+		"tied":            tied,
+		"tied+spot":       tied.WithSpotMarket(0.5, 0.05),
+		"default+spot":    cloud.DefaultPool().WithSpotMarket(0.7, 0.05),
+		"three-type+spot": cloud.ThreeTypePool().WithSpotMarket(0.7, 0.05),
+	}
+	budgets := []float64{0.3, 1, 1.5, 2.5, 5, 1 + 4*rng.Float64()}
+	for name, pool := range pools {
+		for _, budget := range budgets {
+			if pool.HasSpot() && budget > 1.5 {
+				continue // the doubled type set makes this space very large
+			}
+			planner, err := NewFleetPlanner(pool, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]enumEntry, 0, len(planner.enum))
+			for _, cfg := range pool.Enumerate(budget) {
+				want = append(want, enumEntry{cfg: cfg, cost: pool.Cost(cfg)})
+			}
+			slices.SortStableFunc(want, func(a, b enumEntry) int { return cmp.Compare(a.cost, b.cost) })
+			if len(planner.enum) != len(want) {
+				t.Fatalf("%s at $%v: %d entries, want %d", name, budget, len(planner.enum), len(want))
+			}
+			ties := 0
+			for i, got := range planner.enum {
+				if !got.cfg.Equal(want[i].cfg) || got.cost != want[i].cost {
+					t.Fatalf("%s at $%v: entry %d is %v ($%v), stable sort has %v ($%v)",
+						name, budget, i, got.cfg, got.cost, want[i].cfg, want[i].cost)
+				}
+				if i > 0 && got.cost == planner.enum[i-1].cost {
+					ties++
+				}
+			}
+			if strings.HasPrefix(name, "tied") && budget >= 1 && ties == 0 {
+				t.Fatalf("%s at $%v: no equal-cost candidates, the tie-break is untested", name, budget)
+			}
+		}
 	}
 }

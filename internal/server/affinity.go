@@ -1,6 +1,10 @@
 package server
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Session-affine routing: the front door tags queries with a session
 // hash, and the controller's dispatch loop tries to land every query of
@@ -49,7 +53,14 @@ func (r *affinityRing) rebuild(instances []*remoteInstance) {
 			r.entries = append(r.entries, ringEntry{splitmix64(h + v), ri})
 		}
 	}
-	sort.Slice(r.entries, func(i, j int) bool { return r.entries[i].hash < r.entries[j].hash })
+	// Ties (a 64-bit collision) break on the address, so the ring is a
+	// function of the member set alone, not of the order members joined.
+	slices.SortFunc(r.entries, func(a, b ringEntry) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ri.addr, b.ri.addr)
+	})
 }
 
 // pick walks the ring clockwise from the session's hash point and

@@ -22,7 +22,7 @@ import (
 // and sends dispatched queries to the instance servers over the wire.
 // Instances join the scheduler group of the model their handshake banner
 // announces; a banner naming a model the controller does not serve is
-// rejected. The fleet is reconfigurable at runtime: AddInstance dials new
+// rejected. The fleet is reconfigurable at runtime: AddInstances dials new
 // servers into the rotation and RemoveInstance drains and disconnects
 // running ones, so a control plane (see internal/autopilot) can reconcile
 // every model's fleet toward a fresh plan without dropping in-flight
@@ -298,7 +298,10 @@ func NewController(model string, policy sim.Distributor, timeScale float64, pred
 // scheduler group of the model its banner announces, and starts one
 // scheduler goroutine per group. Every announced model must have a group;
 // an instance announcing an unexpected model is rejected (wrong-model
-// instances must never silently serve another model's queries).
+// instances must never silently serve another model's queries). The
+// fleet registers in one AddInstances pass; if any instance fails, every
+// connection opened is closed and the first failure in address order is
+// returned.
 func NewMultiController(groups map[string]GroupSpec, timeScale float64, addrs []string) (*Controller, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("server: controller needs at least one model group")
@@ -331,19 +334,12 @@ func NewMultiController(groups map[string]GroupSpec, timeScale float64, addrs []
 	for _, model := range c.order {
 		c.groups[model].obs = c.obs.Model(model)
 	}
-	for _, addr := range addrs {
-		ri, err := c.dialInstance(addr)
+	_, errs := c.AddInstances(addrs)
+	for _, err := range errs {
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		g := c.groups[ri.model]
-		g.mu.Lock()
-		g.instances = append(g.instances, ri)
-		g.rebuildRingLocked()
-		g.mu.Unlock()
-		c.wg.Add(1)
-		go c.readLoop(ri)
 	}
 	for _, model := range c.order {
 		c.wg.Add(1)
@@ -352,13 +348,19 @@ func NewMultiController(groups map[string]GroupSpec, timeScale float64, addrs []
 	return c, nil
 }
 
+// handshakeTimeout bounds dialing an instance and completing its Hello
+// exchange, so a peer that accepts and never speaks cannot hang
+// registration (it matches the exec provider's launch timeout).
+var handshakeTimeout = 10 * time.Second
+
 // dialInstance connects and handshakes with one instance server,
 // validating the announced wire version and model against the served set.
 func (c *Controller) dialInstance(addr string) (*remoteInstance, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("server: dialing %s: %w", addr, err)
 	}
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	wc := newWireConn(conn)
 	var hello Hello
 	if err := ReadFrame(wc.br, &hello); err != nil {
@@ -378,6 +380,7 @@ func (c *Controller) dialInstance(addr string) (*remoteInstance, error) {
 		conn.Close()
 		return nil, fmt.Errorf("server: handshake with %s: %w", addr, err)
 	}
+	conn.SetDeadline(time.Time{})
 	mo := c.obs.Model(hello.Model)
 	return &remoteInstance{
 		model:     hello.Model,
@@ -409,34 +412,74 @@ func (c *Controller) Models() []string {
 }
 
 // AddInstance dials one more instance server into the rotation of the
-// model its banner announces and returns that type name. Safe to call
-// while traffic is flowing.
+// model its banner announces and returns that type name — the
+// one-address case of AddInstances.
 func (c *Controller) AddInstance(addr string) (string, error) {
-	ri, err := c.dialInstance(addr)
-	if err != nil {
-		return "", err
+	types, errs := c.AddInstances([]string{addr})
+	return types[0], errs[0]
+}
+
+// AddInstances dials and handshakes every address at once, one goroutine
+// each, then registers the successes in argument order, so the fleet
+// order never depends on which handshake finished first. Each touched
+// group takes its lock and rebuilds its affinity ring once for the whole
+// batch. It returns the announced type names and errors by index; a
+// failed address leaves the others registered. Safe to call while
+// traffic is flowing.
+func (c *Controller) AddInstances(addrs []string) ([]string, []error) {
+	types := make([]string, len(addrs))
+	errs := make([]error, len(addrs))
+	dialed := make([]*remoteInstance, len(addrs))
+	var wg sync.WaitGroup
+	wg.Add(len(addrs))
+	for i, addr := range addrs {
+		go func() {
+			defer wg.Done()
+			dialed[i], errs[i] = c.dialInstance(addr)
+		}()
 	}
-	g := c.groups[ri.model]
-	g.mu.Lock()
-	select {
-	case <-c.closed:
+	wg.Wait()
+
+	for _, model := range c.order {
+		var batch []int // indices of the group's dialed instances
+		for i, ri := range dialed {
+			if ri != nil && ri.model == model {
+				batch = append(batch, i)
+			}
+		}
+		if len(batch) == 0 {
+			continue
+		}
+		g := c.groups[model]
+		g.mu.Lock()
+		select {
+		case <-c.closed:
+			g.mu.Unlock()
+			for _, i := range batch {
+				dialed[i].wc.close()
+				errs[i] = errors.New("server: controller closed")
+			}
+			continue
+		default:
+		}
+		for _, i := range batch {
+			g.instances = append(g.instances, dialed[i])
+			types[i] = dialed[i].typeName
+		}
+		g.rebuildRingLocked()
+		if g.holdTimer != nil {
+			// Capacity is back; held queries are dispatchable again.
+			g.holdTimer.Stop()
+			g.holdTimer = nil
+		}
+		c.wg.Add(len(batch))
 		g.mu.Unlock()
-		ri.wc.close()
-		return "", errors.New("server: controller closed")
-	default:
+		for _, i := range batch {
+			go c.readLoop(dialed[i])
+		}
+		g.wake()
 	}
-	g.instances = append(g.instances, ri)
-	g.rebuildRingLocked()
-	if g.holdTimer != nil {
-		// Capacity is back; held queries are dispatchable again.
-		g.holdTimer.Stop()
-		g.holdTimer = nil
-	}
-	c.wg.Add(1)
-	g.mu.Unlock()
-	go c.readLoop(ri)
-	g.wake()
-	return ri.typeName, nil
+	return types, errs
 }
 
 // RemoveInstance drains and disconnects one instance of the given type
@@ -756,7 +799,7 @@ type OutstandingQuery struct {
 // empty slice; the soak checker uses this to name the exact stuck
 // queries behind a zero-drop violation.
 func (c *Controller) OutstandingQueries() []OutstandingQuery {
-	now := time.Now()
+	var now time.Time
 	ageMS := func(enq time.Time) float64 {
 		return float64(now.Sub(enq)) / float64(time.Millisecond) / c.TimeScale
 	}
@@ -764,6 +807,9 @@ func (c *Controller) OutstandingQueries() []OutstandingQuery {
 	for _, model := range c.order {
 		g := c.groups[model]
 		g.mu.Lock()
+		// Read the clock under the lock that stamps enqueue times, so no
+		// query can look enqueued after the snapshot was taken.
+		now = time.Now()
 		for _, q := range g.waiting {
 			out = append(out, OutstandingQuery{
 				Model: model, ID: q.id, Batch: q.batch, Stage: "queued",

@@ -435,11 +435,20 @@ func TestControllerStatsAndOnComplete(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 	}
-	mu.Lock()
-	if completions != n || batches != n*100 {
-		t.Fatalf("callback saw %d completions totalling %d", completions, batches)
+	// deliver wakes SubmitWait before it calls the observer, so the last
+	// callback may still be running when the loop ends.
+	var seen, total int
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		seen, total = completions, batches
+		mu.Unlock()
+		if seen >= n || time.Now().After(deadline) {
+			break
+		}
 	}
-	mu.Unlock()
+	if seen != n || total != n*100 {
+		t.Fatalf("callback saw %d completions totalling %d", seen, total)
+	}
 
 	s := ctrl.Stats()
 	if s.Submitted != n || s.Completed != n || s.Failed != 0 || s.Waiting != 0 {
